@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint safelint safedim lint-shape lint-flow gates ruff mypy precommit test benchmarks bench-record bench-compare slo chaos campaign-smoke shard-smoke trace-smoke serve-smoke baseline
+.PHONY: lint safelint safedim lint-shape lint-flow gates ruff mypy precommit test benchmarks bench-record bench-compare slo chaos campaign-smoke shard-smoke trace-smoke serve-smoke perfbench-smoke baseline
 
 lint: safelint ruff mypy
 
@@ -115,6 +115,13 @@ trace-smoke:
 # See docs/ROBUSTNESS.md.
 serve-smoke:
 	$(PYTHON) scripts/serve_smoke.py
+
+# Traced-benchmark smoke (~1 min): one `perfbench/run.py --seconds 1
+# --trace 1` pass each of paper-tables and campaign-durable; fails
+# unless both result lines read "correct": true, i.e. every layer entry
+# point the benchmark wraps is still the one the program calls.
+perfbench-smoke:
+	$(PYTHON) scripts/perfbench_smoke.py
 
 # Regenerate the safelint baseline (see docs/LINTING.md before using).
 baseline:

@@ -22,7 +22,12 @@ from repro.errors import FilterError
 from repro.filtering.reachability import ReachBand
 from repro.utils.intervals import Interval
 
-__all__ = ["FusedEstimate", "fuse_bands", "intersect_or_fallback"]
+__all__ = [
+    "FusedEstimate",
+    "fuse_bands",
+    "intersect_or_fallback",
+    "refine_or_fallback",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,12 +87,25 @@ def intersect_or_fallback(sound: Interval, refining: Interval) -> Interval:
     Returns the intersection when non-empty, otherwise the guaranteed
     band.  ``sound`` must be non-empty.
     """
+    return refine_or_fallback(sound, refining.lo, refining.hi)
+
+
+def refine_or_fallback(sound: Interval, lo: float, hi: float) -> Interval:
+    """:func:`intersect_or_fallback` with the refining band as endpoints.
+
+    The estimators join on endpoints they computed as floats, so only
+    the joined interval is built.  An empty refining band (``lo > hi``,
+    e.g. the canonical ``[+inf, -inf]``) falls back to ``sound``.
+
+    Effects: pure
+    """
     if sound.is_empty:
         raise FilterError("the guaranteed band must be non-empty")
-    joined = sound.intersect(refining)
-    if joined.is_empty:
+    lo = max(sound.lo, lo)
+    hi = min(sound.hi, hi)
+    if lo > hi:
         return sound
-    return joined
+    return Interval(lo, hi)
 
 
 def fuse_bands(

@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import Optional, Protocol, Tuple
 
 from repro.comm.message import Message
 from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import FilterError
-from repro.filtering.fusion import FusedEstimate, fuse_bands, intersect_or_fallback
-from repro.filtering.kalman import KalmanFilter
+from repro.filtering.fusion import FusedEstimate, refine_or_fallback
+from repro.filtering.kalman import KalmanFilter, KalmanState
 from repro.filtering.reachability import ReachBand, ReachabilityAnalyzer
 from repro.filtering.replay import ReplayKalmanFilter
 from repro.obs.observer import resolve_observer
@@ -102,8 +102,65 @@ class EstimateProvider(Protocol):
         ...
 
 
-def _physical_velocity_band(limits: VehicleLimits) -> Interval:
-    return Interval(limits.v_min, limits.v_max)
+def _sensor_band(
+    reach: ReachabilityAnalyzer,
+    bounds: NoiseBounds,
+    reading: SensorReading,
+    now: float,
+) -> ReachBand:
+    """Raw measurement band propagated from the sample time to ``now``.
+
+    Units: now [s]
+    Effects: pure
+
+    The velocity band is the measurement ± ``delta_v`` cut to the
+    physical range; a measurement pushed entirely outside that range is
+    clipped to the nearest physical velocity.
+    """
+    limits = reach.limits
+    velocity = reading.velocity
+    v_lo = max(velocity - bounds.delta_v, limits.v_min)
+    v_hi = min(velocity + bounds.delta_v, limits.v_max)
+    if v_lo <= v_hi:
+        v_band = Interval(v_lo, v_hi)
+    else:
+        v_band = Interval.point(limits.clip_velocity(velocity))
+    return reach.band_from_intervals(
+        bounds.position_band(reading.position), v_band, reading.time, now
+    )
+
+
+def _guaranteed_band(
+    reach: ReachabilityAnalyzer,
+    bounds: NoiseBounds,
+    message: Optional[Message],
+    reading: Optional[SensorReading],
+    now: float,
+) -> Tuple[Interval, Interval]:
+    """Sound position/velocity bands from message reachability and the raw sensor.
+
+    Units: now [s]
+    Effects: pure
+
+    The message band is refined by the propagated sensor band (falling
+    back to the message band where the two are disjoint).
+    """
+    if message is None:
+        if reading is None:
+            raise FilterError(
+                "no information yet: neither a sensor reading nor a message "
+                "has been ingested"
+            )
+        band = _sensor_band(reach, bounds, reading, now)
+        return band.position, band.velocity
+    band = reach.band_from_state(message.state, message.stamp, now)
+    if reading is None:
+        return band.position, band.velocity
+    sensor = _sensor_band(reach, bounds, reading, now)
+    return (
+        refine_or_fallback(band.position, sensor.position.lo, sensor.position.hi),
+        refine_or_fallback(band.velocity, sensor.velocity.lo, sensor.velocity.hi),
+    )
 
 
 class InformationFilter:
@@ -176,6 +233,8 @@ class InformationFilter:
             history_horizon=history_horizon,
         )
         self._bounds = sensor_bounds
+        self._r_position = sensor_bounds.position_variance
+        self._r_velocity = sensor_bounds.velocity_variance
         self._n_sigma = float(n_sigma)
         self._watchdog_sigma = (
             None if watchdog_sigma is None else float(watchdog_sigma)
@@ -194,23 +253,28 @@ class InformationFilter:
         """Feed a sensor reading to the replaying Kalman filter.
 
         The divergence watchdog gates the reading's innovation against
-        the filter's own predicted uncertainty *before* the update; the
-        reading is always folded in regardless (the filter keeps
-        running), the gate only decides whether :meth:`estimate` still
-        trusts the Kalman band.
+        the prediction the filter folds it into, i.e. against the
+        filter's own uncertainty *before* the update; the reading is
+        always folded in regardless (the filter keeps running), the gate
+        only decides whether :meth:`estimate` still trusts the Kalman
+        band.  A reading the replay filter rejects (one that does not
+        advance in time) raises before it is gated.
         """
+        self._replay.on_sensor_reading(reading)
+        self._latest_reading = reading
+        predicted = self._replay.last_prediction
+        if self._watchdog_sigma is None or predicted is None:
+            return
         if self._obs.enabled:
             before = (
                 self._watchdog.breaches,
                 self._watchdog.trips,
                 self._watchdog.recoveries,
             )
-            self._gate_innovation(reading)
+            self._gate_innovation(reading, predicted, self._watchdog_sigma)
             self._observe_watchdog(before, reading.time)
         else:
-            self._gate_innovation(reading)
-        self._replay.on_sensor_reading(reading)
-        self._latest_reading = reading
+            self._gate_innovation(reading, predicted, self._watchdog_sigma)
 
     def _observe_watchdog(self, before, time: float) -> None:
         """Emit watchdog deltas of one gated reading (telemetry only)."""
@@ -276,33 +340,24 @@ class InformationFilter:
     # ------------------------------------------------------------------
     # Divergence watchdog
     # ------------------------------------------------------------------
-    def _gate_innovation(self, reading: SensorReading) -> None:
-        """Classify one reading's innovation; never raises.
+    def _gate_innovation(
+        self, reading: SensorReading, predicted: KalmanState, sigma: float
+    ) -> None:
+        """Classify one reading's innovation against its prediction.
 
         A breach means the measurement fell outside
-        ``watchdog_sigma * sqrt(P + R)`` (per channel, plus a small
-        absolute slack for noiseless setups) of the filter's own
-        prediction — the filter believes an uncertainty its measurements
-        contradict.  After ``watchdog_consecutive`` breaches in a row the
-        filter trips; one consistent reading recovers it.
+        ``sigma * sqrt(P + R)`` (per channel, plus a small absolute
+        slack for noiseless setups) of the filter's own prediction — the
+        filter believes an uncertainty its measurements contradict.
+        After ``watchdog_consecutive`` breaches in a row the filter
+        trips; one consistent reading recovers it.
         """
-        if self._watchdog_sigma is None or not self._replay.is_initialized:
-            return
-        try:
-            predicted = self._replay.estimate_at(reading.time)
-        except FilterError:
-            # Non-advancing or pre-posterior reading: let the replay
-            # filter's own validation report it; the gate stays silent.
-            return
-        kalman = self._replay.kalman
-        r = kalman.r_matrix
-        p = predicted.covariance
         gate_p = (
-            self._watchdog_sigma * math.sqrt(max(p[0, 0] + r[0, 0], 0.0))
+            sigma * math.sqrt(max(predicted.p00 + self._r_position, 0.0))
             + _WATCHDOG_SLACK
         )
         gate_v = (
-            self._watchdog_sigma * math.sqrt(max(p[1, 1] + r[1, 1], 0.0))
+            sigma * math.sqrt(max(predicted.p11 + self._r_velocity, 0.0))
             + _WATCHDOG_SLACK
         )
         breach = (
@@ -336,7 +391,13 @@ class InformationFilter:
         Requires at least one sensor reading or one message; the
         simulation engine guarantees a sensor sample at ``t = 0``.
         """
-        guaranteed = self._guaranteed_band(now)
+        position, velocity = _guaranteed_band(
+            self._reach,
+            self._bounds,
+            self._latest_message,
+            self._latest_reading,
+            now,
+        )
         message_age = (
             None
             if self._latest_message is None
@@ -344,21 +405,25 @@ class InformationFilter:
         )
 
         if self._replay.is_initialized and not self._watchdog.diverged:
+            # Join with the Kalman mean ± n_sigma * std band (fuse_bands
+            # on the endpoints).
             kf = self._replay.estimate_at(now)
-            fused = fuse_bands(
-                guaranteed,
-                kf.position_band(self._n_sigma),
-                kf.velocity_band(self._n_sigma),
+            p_radius = self._n_sigma * kf.position_std
+            v_radius = self._n_sigma * kf.velocity_std
+            position = refine_or_fallback(
+                position, kf.position - p_radius, kf.position + p_radius
+            )
+            velocity = refine_or_fallback(
+                velocity, kf.velocity - v_radius, kf.velocity + v_radius
             )
             nominal = VehicleState(
-                position=fused.position.clamp(kf.position),
-                velocity=fused.velocity.clamp(kf.velocity),
+                position=position.clamp(kf.position),
+                velocity=velocity.clamp(kf.velocity),
                 acceleration=self._replay.current_accel,
             )
         else:
             # Reachability-only: before the first sensor reading, or the
             # watchdog tripped and the Kalman band is quarantined.
-            fused = guaranteed
             if self._obs.enabled:
                 self._obs.count("filter.fallback", filter=self._label)
                 if self._watchdog.diverged:
@@ -375,13 +440,13 @@ class InformationFilter:
             else:
                 accel = 0.0
             nominal = VehicleState(
-                position=fused.position.midpoint,
-                velocity=fused.velocity.midpoint,
+                position=position.midpoint,
+                velocity=velocity.midpoint,
                 acceleration=accel,
             )
         if self._obs.enabled:
-            p_width = fused.position.width
-            v_width = fused.velocity.width
+            p_width = position.width
+            v_width = velocity.width
             if math.isfinite(p_width):
                 self._obs.gauge(
                     "filter.position_width", p_width, filter=self._label
@@ -398,49 +463,11 @@ class InformationFilter:
                 )
         return FusedEstimate(
             time=float(now),
-            position=fused.position,
-            velocity=fused.velocity,
+            position=position,
+            velocity=velocity,
             nominal=nominal,
             message_age=message_age,
         )
-
-    def _guaranteed_band(self, now: float) -> ReachBand:
-        """Sound band from message reachability and raw sensor propagation."""
-        bands = []
-        if self._latest_message is not None:
-            bands.append(
-                self._reach.band_from_state(
-                    self._latest_message.state, self._latest_message.stamp, now
-                )
-            )
-        if self._latest_reading is not None:
-            bands.append(self._sensor_band(self._latest_reading, now))
-        if not bands:
-            raise FilterError(
-                "no information yet: neither a sensor reading nor a message "
-                "has been ingested"
-            )
-        fused = bands[0]
-        for band in bands[1:]:
-            fused = ReachBand(
-                time=fused.time,
-                position=intersect_or_fallback(fused.position, band.position),
-                velocity=intersect_or_fallback(fused.velocity, band.velocity),
-            )
-        return fused
-
-    def _sensor_band(self, reading: SensorReading, now: float) -> ReachBand:
-        """Raw measurement band propagated from the sample time to ``now``."""
-        p_band = self._bounds.position_band(reading.position)
-        v_band = self._bounds.velocity_band(reading.velocity).intersect(
-            _physical_velocity_band(self._reach.limits)
-        )
-        if v_band.is_empty:
-            # Measurement pushed entirely outside the physical range; clip
-            # to the nearest physical velocity.
-            v = self._reach.limits.clip_velocity(reading.velocity)
-            v_band = Interval.point(v)
-        return self._reach.band_from_intervals(p_band, v_band, reading.time, now)
 
 
 class RawEstimator:
@@ -488,37 +515,13 @@ class RawEstimator:
 
         Units: now [s]
         """
-        bands = []
-        if self._latest_message is not None:
-            bands.append(
-                self._reach.band_from_state(
-                    self._latest_message.state, self._latest_message.stamp, now
-                )
-            )
-        if self._latest_reading is not None:
-            reading = self._latest_reading
-            p_band = self._bounds.position_band(reading.position)
-            v_band = self._bounds.velocity_band(reading.velocity).intersect(
-                _physical_velocity_band(self._reach.limits)
-            )
-            if v_band.is_empty:
-                v = self._reach.limits.clip_velocity(reading.velocity)
-                v_band = Interval.point(v)
-            bands.append(
-                self._reach.band_from_intervals(p_band, v_band, reading.time, now)
-            )
-        if not bands:
-            raise FilterError(
-                "no information yet: neither a sensor reading nor a message "
-                "has been ingested"
-            )
-        fused = bands[0]
-        for band in bands[1:]:
-            fused = ReachBand(
-                time=fused.time,
-                position=intersect_or_fallback(fused.position, band.position),
-                velocity=intersect_or_fallback(fused.velocity, band.velocity),
-            )
+        position, velocity = _guaranteed_band(
+            self._reach,
+            self._bounds,
+            self._latest_message,
+            self._latest_reading,
+            now,
+        )
         accel = 0.0
         accel_time = float("-inf")
         if self._latest_reading is not None:
@@ -530,8 +533,8 @@ class RawEstimator:
         ):
             accel = self._latest_message.state.acceleration
         nominal = VehicleState(
-            position=fused.position.midpoint,
-            velocity=fused.velocity.midpoint,
+            position=position.midpoint,
+            velocity=velocity.midpoint,
             acceleration=accel,
         )
         message_age = (
@@ -541,8 +544,8 @@ class RawEstimator:
         )
         return FusedEstimate(
             time=float(now),
-            position=fused.position,
-            velocity=fused.velocity,
+            position=position,
+            velocity=velocity,
             nominal=nominal,
             message_age=message_age,
         )

@@ -20,11 +20,22 @@ uncertainty.
 
 The update uses the Joseph-form covariance update printed in the paper,
 which stays symmetric positive-semidefinite under roundoff.
+
+Every step is written out in closed form on the four covariance entries
+and the two state components: a 2x2 filter step is a few dozen flops,
+and numpy's per-call dispatch would cost far more than the arithmetic.
+The gain uses the explicit 2x2 inverse (adjugate over determinant); a
+zero or non-finite determinant raises :class:`~repro.errors.FilterError`
+as a singular innovation covariance.  The numpy matrix implementation
+this replaced is kept in the test suite as the reference; the two agree
+to within a few ulps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -36,7 +47,19 @@ from repro.utils.validation import check_nonnegative, check_positive
 
 __all__ = ["KalmanState", "KalmanFilter", "symmetrize_psd"]
 
-_EYE2 = np.eye(2)
+
+def _project_psd(
+    p00: float, p01: float, p10: float, p11: float, floor: float
+) -> Tuple[float, float, float]:
+    """Closed form of :func:`symmetrize_psd`: ``(p00, p01, p11)`` of the result.
+
+    Effects: pure
+    """
+    cross_term = 0.5 * (p01 + p10)
+    p00 = max(0.5 * (p00 + p00), floor)
+    p11 = max(0.5 * (p11 + p11), floor)
+    cross = math.sqrt(p00 * p11)
+    return p00, min(max(cross_term, -cross), cross), p11
 
 
 def symmetrize_psd(covariance: np.ndarray, floor: float = 0.0) -> np.ndarray:
@@ -56,62 +79,124 @@ def symmetrize_psd(covariance: np.ndarray, floor: float = 0.0) -> np.ndarray:
        non-negative diagonal is exactly PSD.
 
     A matrix that already satisfies all three comes back unchanged up to
-    the symmetrization average.
+    the symmetrization average.  The filter applies the same projection
+    to its scalar covariance entries after every update.
 
     Shapes: covariance [2, 2] -> [2, 2]
+    Effects: pure
     """
     p = np.asarray(covariance, dtype=float)
-    p = 0.5 * (p + p.T)
-    p00 = max(float(p[0, 0]), floor)
-    p11 = max(float(p[1, 1]), floor)
-    cross = np.sqrt(p00 * p11)
-    p01 = float(np.clip(p[0, 1], -cross, cross))
+    p00, p01, p11 = _project_psd(
+        float(p[0, 0]), float(p[0, 1]), float(p[1, 0]), float(p[1, 1]), floor
+    )
     return np.array([[p00, p01], [p01, p11]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class KalmanState:
     """An estimate/covariance pair ``(x_hat, P)`` at a given time.
 
-    ``x_hat`` is the ``2x1`` ``[p, v]`` vector; ``P`` the ``2x2``
-    covariance.  Instances are value objects: arrays are copied on
-    construction and never mutated, so they are safe to checkpoint for
-    message replay.
+    The state is stored as seven floats: ``time``, the estimate
+    ``position``/``velocity`` and the covariance entries ``p00``,
+    ``p01``, ``p10``, ``p11`` (row-major).  ``x_hat`` (``2x1``) and
+    ``covariance`` (``2x2``) are derived array *copies*.  Instances are
+    immutable value objects, so they are safe to checkpoint for message
+    replay.
+
+    The constructor takes the array form ``KalmanState(time, x_hat,
+    covariance)`` and rejects non-finite entries with
+    :class:`~repro.errors.FilterError`; the filter itself builds states
+    through :meth:`from_scalars`, which applies the same check to the
+    scalars.
     """
 
     time: float
-    x_hat: np.ndarray
-    covariance: np.ndarray
+    position: float
+    velocity: float
+    p00: float
+    p01: float
+    p10: float
+    p11: float
 
-    def __post_init__(self) -> None:
-        x = np.array(self.x_hat, dtype=float).reshape(2, 1)
-        p = np.array(self.covariance, dtype=float).reshape(2, 2)
+    def __init__(self, time: float, x_hat: np.ndarray, covariance: np.ndarray) -> None:
+        """Parse the array form of a state.
+
+        Units: time [s]
+        Shapes: x_hat array, covariance array
+        """
+        x = np.array(x_hat, dtype=float).reshape(2, 1)
+        p = np.array(covariance, dtype=float).reshape(2, 2)
         if not np.all(np.isfinite(x)):
             raise FilterError(f"non-finite state estimate: {x.ravel()}")
         if not np.all(np.isfinite(p)):
             raise FilterError(f"non-finite covariance: {p.ravel()}")
-        object.__setattr__(self, "x_hat", x)
-        object.__setattr__(self, "covariance", p)
+        _fill(
+            self,
+            float(time),
+            float(x[0, 0]),
+            float(x[1, 0]),
+            float(p[0, 0]),
+            float(p[0, 1]),
+            float(p[1, 0]),
+            float(p[1, 1]),
+        )
+
+    @classmethod
+    def from_scalars(
+        cls,
+        time: float,
+        position: float,
+        velocity: float,
+        p00: float,
+        p01: float,
+        p10: float,
+        p11: float,
+    ) -> "KalmanState":
+        """A state from its seven scalars, rejecting non-finite entries.
+
+        Units: time [s], position [m], velocity [m/s]
+        Effects: pure
+        """
+        if not (math.isfinite(position) and math.isfinite(velocity)):
+            raise FilterError(
+                f"non-finite state estimate: [{position} {velocity}]"
+            )
+        if not (
+            math.isfinite(p00)
+            and math.isfinite(p01)
+            and math.isfinite(p10)
+            and math.isfinite(p11)
+        ):
+            raise FilterError(f"non-finite covariance: [{p00} {p01} {p10} {p11}]")
+        state = object.__new__(cls)
+        _fill(state, time, position, velocity, p00, p01, p10, p11)
+        return state
 
     @property
-    def position(self) -> float:
-        """Estimated position."""
-        return float(self.x_hat[0, 0])
+    def x_hat(self) -> np.ndarray:
+        """The ``[p, v]`` estimate as a fresh ``2x1`` array.
+
+        Shapes: -> [2, 1]
+        """
+        return np.array([[self.position], [self.velocity]])
 
     @property
-    def velocity(self) -> float:
-        """Estimated velocity."""
-        return float(self.x_hat[1, 0])
+    def covariance(self) -> np.ndarray:
+        """The covariance ``P`` as a fresh ``2x2`` array.
+
+        Shapes: -> [2, 2]
+        """
+        return np.array([[self.p00, self.p01], [self.p10, self.p11]])
 
     @property
     def position_std(self) -> float:
         """Standard deviation of the position estimate."""
-        return float(np.sqrt(max(self.covariance[0, 0], 0.0)))
+        return math.sqrt(max(self.p00, 0.0))
 
     @property
     def velocity_std(self) -> float:
         """Standard deviation of the velocity estimate."""
-        return float(np.sqrt(max(self.covariance[1, 1], 0.0)))
+        return math.sqrt(max(self.p11, 0.0))
 
     def position_band(self, n_sigma: float = 3.0) -> Interval:
         """``mean ± n_sigma * std`` interval for the position."""
@@ -131,6 +216,26 @@ class KalmanState:
             velocity=self.velocity,
             acceleration=acceleration,
         )
+
+
+def _fill(
+    state: KalmanState,
+    time: float,
+    position: float,
+    velocity: float,
+    p00: float,
+    p01: float,
+    p10: float,
+    p11: float,
+) -> None:
+    """Set the seven fields of a state under construction (it is frozen)."""
+    object.__setattr__(state, "time", time)
+    object.__setattr__(state, "position", position)
+    object.__setattr__(state, "velocity", velocity)
+    object.__setattr__(state, "p00", p00)
+    object.__setattr__(state, "p01", p01)
+    object.__setattr__(state, "p10", p10)
+    object.__setattr__(state, "p11", p11)
 
 
 class KalmanFilter:
@@ -153,20 +258,18 @@ class KalmanFilter:
     def __init__(self, dt: float, bounds: NoiseBounds) -> None:
         self._dt = check_positive(dt, "dt")
         self._bounds = bounds
+        dt = self._dt
         dt2 = dt * dt
-        self._f = np.array([[1.0, dt], [0.0, 1.0]])
-        self._g = np.array([[0.5 * dt2], [dt]])
-        accel_var = bounds.acceleration_variance
-        self._q = (
-            np.array(
-                [
-                    [0.25 * dt2 * dt2, 0.5 * dt2 * dt],
-                    [0.5 * dt2 * dt, dt2],
-                ]
-            )
-            * accel_var
-        )
-        self._r = np.diag([bounds.position_variance, bounds.velocity_variance])
+        accel_var = self._accel_var = bounds.acceleration_variance
+        # The non-trivial entries of G, Q and R (F = [[1, dt], [0, 1]];
+        # Q is symmetric, R diagonal).
+        self._g0 = 0.5 * dt2
+        self._q00 = 0.25 * dt2 * dt2 * accel_var
+        self._q01 = 0.5 * dt2 * dt * accel_var
+        self._q11 = dt2 * accel_var
+        self._r0 = bounds.position_variance
+        self._r1 = bounds.velocity_variance
+        self._noiseless = not (self._r0 or self._r1)
 
     # ------------------------------------------------------------------
     # Matrix accessors (used by tests to check the paper's equations)
@@ -182,7 +285,7 @@ class KalmanFilter:
 
         Shapes: -> [2, 2]
         """
-        return self._f.copy()
+        return np.array([[1.0, self._dt], [0.0, 1.0]])
 
     @property
     def g_matrix(self) -> np.ndarray:
@@ -190,7 +293,7 @@ class KalmanFilter:
 
         Shapes: -> [2, 1]
         """
-        return self._g.copy()
+        return np.array([[self._g0], [self._dt]])
 
     @property
     def q_matrix(self) -> np.ndarray:
@@ -198,7 +301,7 @@ class KalmanFilter:
 
         Shapes: -> [2, 2]
         """
-        return self._q.copy()
+        return np.array([[self._q00, self._q01], [self._q01, self._q11]])
 
     @property
     def r_matrix(self) -> np.ndarray:
@@ -206,7 +309,7 @@ class KalmanFilter:
 
         Shapes: -> [2, 2]
         """
-        return self._r.copy()
+        return np.array([[self._r0, 0.0], [0.0, self._r1]])
 
     @property
     def bounds(self) -> NoiseBounds:
@@ -227,21 +330,33 @@ class KalmanFilter:
         """Build the prior ``(x_hat(0,0), P(0,0))``.
 
         Units: time [s], position [m], velocity [m/s]
+        Effects: pure
         """
         check_nonnegative(position_var, "position_var")
         check_nonnegative(velocity_var, "velocity_var")
-        return KalmanState(
-            time=float(time),
-            x_hat=np.array([[position], [velocity]]),
-            covariance=np.diag([position_var, velocity_var]),
+        return KalmanState.from_scalars(
+            float(time),
+            float(position),
+            float(velocity),
+            float(position_var),
+            0.0,
+            0.0,
+            float(velocity_var),
         )
 
     def predict(self, state: KalmanState, accel_measured: float) -> KalmanState:
-        """Extrapolate one step: ``x <- F x + G a_s``, ``P <- F P F' + Q``."""
-        x_pred = self._f @ state.x_hat + self._g * float(accel_measured)
-        p_pred = self._f @ state.covariance @ self._f.T + self._q
-        return KalmanState(
-            time=state.time + self._dt, x_hat=x_pred, covariance=p_pred
+        """Extrapolate one step: ``x <- F x + G a_s``, ``P <- F P F' + Q``.
+
+        Effects: pure
+        """
+        return _propagate(
+            state,
+            float(accel_measured),
+            self._dt,
+            self._g0,
+            self._q00,
+            self._q01,
+            self._q11,
         )
 
     def update(
@@ -254,32 +369,63 @@ class KalmanFilter:
 
         Uses the paper's gain ``K = P (P + R)^{-1}`` (the measurement
         matrix is the identity) and the Joseph-form covariance update.
+
+        Effects: pure
         """
-        z = np.array([[float(position_measured)], [float(velocity_measured)]])
-        if not np.any(self._r):
+        z0 = float(position_measured)
+        z1 = float(velocity_measured)
+        if self._noiseless:
             # Noiseless sensing (R = 0): the measurement is exact and the
             # posterior is the measurement with zero uncertainty.  This
             # keeps the perfect-communication test setups working.
-            return KalmanState(
-                time=predicted.time, x_hat=z, covariance=np.zeros((2, 2))
+            return KalmanState.from_scalars(
+                predicted.time, z0, z1, 0.0, 0.0, 0.0, 0.0
             )
-        p_prior = predicted.covariance
-        innovation_cov = p_prior + self._r
-        try:
-            gain = p_prior @ np.linalg.inv(innovation_cov)
-        except np.linalg.LinAlgError as exc:
+        r0 = self._r0
+        r1 = self._r1
+        p00 = predicted.p00
+        p01 = predicted.p01
+        p10 = predicted.p10
+        p11 = predicted.p11
+        # S = P + R; K = P S^-1 = P adj(S) / det(S).
+        s00 = p00 + r0
+        s11 = p11 + r1
+        det = s00 * s11 - p01 * p10
+        if det == 0.0 or not math.isfinite(det):
             raise FilterError(
                 "singular innovation covariance; use a nonzero noise bound "
                 "or a nonzero prior variance"
-            ) from exc
-        x_new = predicted.x_hat + gain @ (z - predicted.x_hat)
-        i_minus_k = _EYE2 - gain
-        p_new = i_minus_k @ p_prior @ i_minus_k.T + gain @ self._r @ gain.T
+            )
+        k00 = (p00 * s11 - p01 * p10) / det
+        k01 = (p01 * s00 - p00 * p01) / det
+        k10 = (p10 * s11 - p11 * p10) / det
+        k11 = (p11 * s00 - p10 * p01) / det
+        y0 = z0 - predicted.position
+        y1 = z1 - predicted.velocity
+        position = predicted.position + (k00 * y0 + k01 * y1)
+        velocity = predicted.velocity + (k10 * y0 + k11 * y1)
+        # Joseph form (I - K) P (I - K)' + K R K', entry by entry.
+        a00 = 1.0 - k00
+        a11 = 1.0 - k11
+        m00 = a00 * p00 - k01 * p10
+        m01 = a00 * p01 - k01 * p11
+        m10 = a11 * p10 - k10 * p00
+        m11 = a11 * p11 - k10 * p01
+        kr00 = k00 * r0
+        kr01 = k01 * r1
+        kr10 = k10 * r0
+        kr11 = k11 * r1
+        j00 = (m00 * a00 - m01 * k01) + (kr00 * k00 + kr01 * k01)
+        j01 = (m01 * a11 - m00 * k10) + (kr00 * k10 + kr01 * k11)
+        j10 = (m10 * a00 - m11 * k01) + (kr10 * k00 + kr11 * k01)
+        j11 = (m11 * a11 - m10 * k10) + (kr10 * k10 + kr11 * k11)
         # Joseph form is symmetric PSD in exact arithmetic only; project
         # out the roundoff so long replayed chains cannot accumulate an
         # indefinite covariance (negative variance -> NaN bands).
-        p_new = symmetrize_psd(p_new)
-        return KalmanState(time=predicted.time, x_hat=x_new, covariance=p_new)
+        c00, c01, c11 = _project_psd(j00, j01, j10, j11, 0.0)
+        return KalmanState.from_scalars(
+            predicted.time, position, velocity, c00, c01, c01, c11
+        )
 
     def extrapolate(
         self, state: KalmanState, accel_measured: float, dt: float
@@ -287,6 +433,7 @@ class KalmanFilter:
         """Predict over an arbitrary horizon ``dt`` (not just ``dt_s``).
 
         Units: dt [s]
+        Effects: pure
 
         Used for (a) estimates between sensor samples — the runtime
         monitor runs every control step ``dt_c`` which is finer than the
@@ -299,20 +446,16 @@ class KalmanFilter:
             raise FilterError(f"extrapolation horizon must be >= 0, got {dt}")
         if dt == 0.0:
             return state
-        f = np.array([[1.0, dt], [0.0, 1.0]])
-        g = np.array([[0.5 * dt * dt], [dt]])
-        q = (
-            np.array(
-                [
-                    [0.25 * dt**4, 0.5 * dt**3],
-                    [0.5 * dt**3, dt * dt],
-                ]
-            )
-            * self._bounds.acceleration_variance
+        accel_var = self._accel_var
+        return _propagate(
+            state,
+            float(accel_measured),
+            dt,
+            0.5 * dt * dt,
+            0.25 * dt**4 * accel_var,
+            0.5 * dt**3 * accel_var,
+            dt * dt * accel_var,
         )
-        x_pred = f @ state.x_hat + g * float(accel_measured)
-        p_pred = f @ state.covariance @ f.T + q
-        return KalmanState(time=state.time + dt, x_hat=x_pred, covariance=p_pred)
 
     def exact_state(
         self, time: float, position: float, velocity: float
@@ -320,12 +463,40 @@ class KalmanFilter:
         """A zero-covariance state from exact (message) values.
 
         Units: time [s], position [m], velocity [m/s]
+        Effects: pure
 
         Message content is accurate in the paper's model, so replay
         restarts the filter from the message state with zero uncertainty.
         """
-        return KalmanState(
-            time=float(time),
-            x_hat=np.array([[position], [velocity]]),
-            covariance=np.zeros((2, 2)),
+        return KalmanState.from_scalars(
+            float(time), float(position), float(velocity), 0.0, 0.0, 0.0, 0.0
         )
+
+
+def _propagate(
+    state: KalmanState,
+    accel: float,
+    dt: float,
+    g0: float,
+    q00: float,
+    q01: float,
+    q11: float,
+) -> KalmanState:
+    """``x <- F x + G a``, ``P <- F P F' + Q`` for ``F = [[1, dt], [0, 1]]``.
+
+    ``g0`` is the position entry of ``G`` (its velocity entry is ``dt``);
+    ``q00``, ``q01``, ``q11`` the entries of the symmetric ``Q``.
+
+    Units: dt [s]
+    Effects: pure
+    """
+    fp01 = state.p01 + dt * state.p11
+    return KalmanState.from_scalars(
+        state.time + dt,
+        state.position + dt * state.velocity + g0 * accel,
+        state.velocity + dt * accel,
+        (state.p00 + dt * state.p10) + fp01 * dt + q00,
+        fp01 + q01,
+        state.p10 + state.p11 * dt + q01,
+        state.p11 + q11,
+    )

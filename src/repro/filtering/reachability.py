@@ -83,8 +83,13 @@ class ReachabilityAnalyzer:
 
         Units: position [m], velocity [m/s], elapsed [s] -> [m]
         """
-        return self._extremal_position(
-            position, velocity, elapsed, self._limits.a_max, self._limits.v_max
+        self._check_elapsed(elapsed)
+        return _extremal_position(
+            position,
+            self._limits.clip_velocity(velocity),
+            elapsed,
+            self._limits.a_max,
+            self._limits.v_max,
         )
 
     def min_position(self, position: float, velocity: float, elapsed: float) -> float:
@@ -92,8 +97,13 @@ class ReachabilityAnalyzer:
 
         Units: position [m], velocity [m/s], elapsed [s] -> [m]
         """
-        return self._extremal_position(
-            position, velocity, elapsed, self._limits.a_min, self._limits.v_min
+        self._check_elapsed(elapsed)
+        return _extremal_position(
+            position,
+            self._limits.clip_velocity(velocity),
+            elapsed,
+            self._limits.a_min,
+            self._limits.v_min,
         )
 
     def max_velocity(self, velocity: float, elapsed: float) -> float:
@@ -114,33 +124,6 @@ class ReachabilityAnalyzer:
         v0 = self._limits.clip_velocity(velocity)
         return max(v0 + self._limits.a_min * elapsed, self._limits.v_min)
 
-    def _extremal_position(
-        self,
-        position: float,
-        velocity: float,
-        elapsed: float,
-        accel: float,
-        v_cap: float,
-    ) -> float:
-        """Position after driving the extremal input toward ``v_cap``.
-
-        ``accel`` and ``v_cap`` are either both the "max" pair or both the
-        "min" pair; the algebra is symmetric.
-        """
-        self._check_elapsed(elapsed)
-        v0 = self._limits.clip_velocity(velocity)
-        if elapsed == 0.0:
-            return position
-        v_end = v0 + accel * elapsed
-        toward_cap = (accel > 0.0 and v_end > v_cap) or (
-            accel < 0.0 and v_end < v_cap
-        )
-        if accel == 0.0 or not toward_cap:
-            return position + v0 * elapsed + 0.5 * accel * elapsed * elapsed
-        # Saturating branch of Eq. (2): cruise distance at the cap minus the
-        # distance deficit accumulated while still ramping up (or down).
-        return position + v_cap * elapsed - (v_cap - v0) ** 2 / (2.0 * accel)
-
     # ------------------------------------------------------------------
     # Bands
     # ------------------------------------------------------------------
@@ -148,17 +131,28 @@ class ReachabilityAnalyzer:
         """Reachable band at ``now`` from an exact state stamped ``stamp``.
 
         Units: stamp [s], now [s]
+        Effects: pure
+
+        The four bounds of :meth:`min_position`, :meth:`max_position`,
+        :meth:`min_velocity` and :meth:`max_velocity`, computed in one
+        pass with the velocity clipped once.
         """
         elapsed = self._elapsed(stamp, now)
+        limits = self._limits
+        v0 = limits.clip_velocity(state.velocity)
         return ReachBand(
             time=float(now),
             position=Interval(
-                self.min_position(state.position, state.velocity, elapsed),
-                self.max_position(state.position, state.velocity, elapsed),
+                _extremal_position(
+                    state.position, v0, elapsed, limits.a_min, limits.v_min
+                ),
+                _extremal_position(
+                    state.position, v0, elapsed, limits.a_max, limits.v_max
+                ),
             ),
             velocity=Interval(
-                self.min_velocity(state.velocity, elapsed),
-                self.max_velocity(state.velocity, elapsed),
+                max(v0 + limits.a_min * elapsed, limits.v_min),
+                min(v0 + limits.a_max * elapsed, limits.v_max),
             ),
         )
 
@@ -172,6 +166,7 @@ class ReachabilityAnalyzer:
         """Reachable band from *interval* initial knowledge.
 
         Units: position [m], velocity [m/s], stamp [s], now [s]
+        Effects: pure
 
         Monotonicity of the extremal trajectories in initial position and
         velocity means the extremes come from the extreme corners of the
@@ -182,14 +177,22 @@ class ReachabilityAnalyzer:
                 "cannot propagate an empty initial band"
             )
         elapsed = self._elapsed(stamp, now)
-        p_hi = self.max_position(position.hi, velocity.hi, elapsed)
-        p_lo = self.min_position(position.lo, velocity.lo, elapsed)
+        limits = self._limits
+        v_lo = limits.clip_velocity(velocity.lo)
+        v_hi = limits.clip_velocity(velocity.hi)
         return ReachBand(
             time=float(now),
-            position=Interval(p_lo, p_hi),
+            position=Interval(
+                _extremal_position(
+                    position.lo, v_lo, elapsed, limits.a_min, limits.v_min
+                ),
+                _extremal_position(
+                    position.hi, v_hi, elapsed, limits.a_max, limits.v_max
+                ),
+            ),
             velocity=Interval(
-                self.min_velocity(velocity.lo, elapsed),
-                self.max_velocity(velocity.hi, elapsed),
+                max(v_lo + limits.a_min * elapsed, limits.v_min),
+                min(v_hi + limits.a_max * elapsed, limits.v_max),
             ),
         )
 
@@ -211,3 +214,28 @@ class ReachabilityAnalyzer:
             raise ConfigurationError(
                 f"elapsed time must be >= 0, got {elapsed}"
             )
+
+
+def _extremal_position(
+    position: float, v0: float, elapsed: float, accel: float, v_cap: float
+) -> float:
+    """Position after driving the extremal input toward ``v_cap``.
+
+    Units: position [m], v0 [m/s], elapsed [s], accel [m/s^2], v_cap [m/s] -> [m]
+    Effects: pure
+
+    ``v0`` is the already clipped initial velocity and ``elapsed`` an
+    already checked horizon; ``accel`` and ``v_cap`` are either both the
+    "max" pair or both the "min" pair; the algebra is symmetric.
+    """
+    if elapsed == 0.0:
+        return position
+    v_end = v0 + accel * elapsed
+    toward_cap = (accel > 0.0 and v_end > v_cap) or (
+        accel < 0.0 and v_end < v_cap
+    )
+    if accel == 0.0 or not toward_cap:
+        return position + v0 * elapsed + 0.5 * accel * elapsed * elapsed
+    # Saturating branch of Eq. (2): cruise distance at the cap minus the
+    # distance deficit accumulated while still ramping up (or down).
+    return position + v_cap * elapsed - (v_cap - v0) ** 2 / (2.0 * accel)

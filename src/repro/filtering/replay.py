@@ -65,6 +65,9 @@ class ReplayKalmanFilter:
         #: acceleration knowledge used to extrapolate past the posterior
         self._current_accel: float = 0.0
         self._checkpoints: Dict[int, KalmanState] = {}
+        #: sorted keys of ``_checkpoints`` (pruning cuts a prefix)
+        self._checkpoint_keys: List[int] = []
+        self._last_prediction: Optional[KalmanState] = None
         self._reading_times: List[float] = []
         self._readings: Dict[int, SensorReading] = {}
         self._last_replayed_stamp: float = float("-inf")
@@ -100,6 +103,18 @@ class ReplayKalmanFilter:
         return self._last_replay_depth
 
     @property
+    def last_prediction(self) -> Optional[KalmanState]:
+        """Prediction the latest :meth:`on_sensor_reading` folded its reading into.
+
+        ``None`` when that reading initialised the filter (there was no
+        prior to predict from) or before any reading; a message replay
+        does not change it.  The information filter's divergence
+        watchdog gates the reading's innovation against it, so the gate
+        and the update share one prediction.
+        """
+        return self._last_prediction
+
+    @property
     def current_accel(self) -> float:
         """The acceleration currently used for extrapolation."""
         return self._current_accel
@@ -126,7 +141,8 @@ class ReplayKalmanFilter:
         """
         if self._posterior is None:
             bounds = self._kalman.bounds
-            self._posterior = KalmanFilter.initial_state(
+            self._last_prediction = None
+            self._posterior = self._kalman.initial_state(
                 time=reading.time,
                 position=reading.position,
                 velocity=reading.velocity,
@@ -144,6 +160,7 @@ class ReplayKalmanFilter:
                 self._posterior, self._current_accel, gap
             )
             self._store_checkpoint(predicted)
+            self._last_prediction = predicted
             self._posterior = self._kalman.update(
                 predicted, reading.position, reading.velocity
             )
@@ -240,7 +257,10 @@ class ReplayKalmanFilter:
     # Internals
     # ------------------------------------------------------------------
     def _store_checkpoint(self, predicted: KalmanState) -> None:
-        self._checkpoints[_key(predicted.time)] = predicted
+        key = _key(predicted.time)
+        if key not in self._checkpoints:
+            bisect.insort(self._checkpoint_keys, key)
+        self._checkpoints[key] = predicted
 
     def _log_reading(self, reading: SensorReading) -> None:
         key = _key(reading.time)
@@ -249,10 +269,15 @@ class ReplayKalmanFilter:
         self._readings[key] = reading
 
     def _prune(self, now: float) -> None:
+        """Drop readings before ``now - horizon`` and older checkpoints."""
         cutoff = now - self._horizon
-        while self._reading_times and self._reading_times[0] < cutoff:
-            t = self._reading_times.pop(0)
+        times = self._reading_times
+        n_stale = bisect.bisect_left(times, cutoff)
+        for t in times[:n_stale]:
             self._readings.pop(_key(t), None)
-        stale = [k for k in self._checkpoints if k < _key(cutoff)]
-        for k in stale:
+        del times[:n_stale]
+        keys = self._checkpoint_keys
+        n_stale = bisect.bisect_left(keys, _key(cutoff))
+        for k in keys[:n_stale]:
             del self._checkpoints[k]
+        del keys[:n_stale]

@@ -48,8 +48,14 @@ class Interval:
     EMPTY: ClassVar["Interval"]
 
     def __post_init__(self) -> None:
-        lo = float(self.lo)
-        hi = float(self.hi)
+        lo = self.lo
+        hi = self.hi
+        # Fast path: two floats in order are already canonical (the
+        # comparison is False for NaN, which takes the slow path).
+        if type(lo) is float and type(hi) is float and lo <= hi:
+            return
+        lo = float(lo)
+        hi = float(hi)
         if math.isnan(lo) or math.isnan(hi):
             raise IntervalError(f"interval endpoints must not be NaN: [{lo}, {hi}]")
         if lo > hi:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,6 +21,56 @@ def intervals(allow_empty: bool = True):
     if allow_empty:
         return base
     return base.filter(lambda iv: not iv.is_empty)
+
+
+class TestConstructorFastPath:
+    """Two ordered ``float`` endpoints skip coercion; nothing else does."""
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(1, 2), (np.float64(1.0), 2.0), (1.0, np.float64(2.0)), (True, 2)],
+    )
+    def test_non_float_endpoints_come_back_as_float(self, lo, hi):
+        iv = Interval(lo, hi)
+        assert type(iv.lo) is float and type(iv.hi) is float
+        assert (iv.lo, iv.hi) == (float(lo), float(hi))
+
+    def test_float_endpoints_are_kept(self):
+        lo, hi = 0.1, 0.30000000000000004
+        iv = Interval(lo, hi)
+        assert iv.lo is lo and iv.hi is hi
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (math.nan, 1.0),
+            (1.0, math.nan),
+            (math.nan, math.nan),
+            (np.float64("nan"), 1.0),
+            (0, np.float64("nan")),
+        ],
+    )
+    def test_nan_in_either_endpoint_rejected(self, lo, hi):
+        with pytest.raises(IntervalError):
+            Interval(lo, hi)
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(2.0, 1.0), (2, 1), (np.float64(2.0), 1.0), (math.inf, -math.inf)]
+    )
+    def test_reversed_endpoints_normalise_to_empty(self, lo, hi):
+        iv = Interval(lo, hi)
+        assert iv == Interval.EMPTY
+        assert (iv.lo, iv.hi) == (math.inf, -math.inf)
+
+    def test_equality_and_hash_unchanged(self):
+        unit = Interval(1.0, 2.0)
+        for other in (Interval(1, 2), Interval(np.float64(1.0), np.float64(2.0))):
+            assert unit == other and hash(unit) == hash(other)
+        assert hash(unit) == hash((1.0, 2.0))  # the dataclass field-tuple hash
+        assert Interval(3.0, 1.0) == Interval(5, 4) == Interval.EMPTY
+        assert hash(Interval(3.0, 1.0)) == hash(Interval.EMPTY)
+        assert len({unit, Interval(1, 2), Interval(2.0, 1.0), Interval.EMPTY}) == 2
+        assert unit != Interval(1.0, 2.5)
 
 
 class TestConstruction:

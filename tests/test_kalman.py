@@ -1,5 +1,7 @@
 """Tests for the Kalman filter (Section III-B equations)."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,39 @@ class TestKalmanState:
         s = KalmanState(time=0.0, x_hat=x, covariance=np.eye(2))
         x[0, 0] = 50.0
         assert s.position == 1.0
+
+    def test_scalar_storage_and_derived_copies(self):
+        s = KalmanState(
+            time=1.0, x_hat=[[2.0], [3.0]], covariance=[[4.0, 0.5], [0.25, 9.0]]
+        )
+        assert (s.p00, s.p01, s.p10, s.p11) == (4.0, 0.5, 0.25, 9.0)
+        assert all(
+            type(v) is float
+            for v in (s.time, s.position, s.velocity, s.p00, s.p01, s.p10, s.p11)
+        )
+        s.x_hat[0, 0] = 50.0
+        s.covariance[0, 0] = 50.0
+        assert (s.position, s.p00) == pytest.approx((2.0, 4.0), rel=0.0, abs=0.0)
+        assert s.x_hat.shape == (2, 1) and s.covariance.shape == (2, 2)
+
+    def test_immutable(self):
+        s = KalmanFilter.initial_state(0.0, 1.0, 2.0, 1.0, 1.0)
+        with pytest.raises(AttributeError):
+            s.position = 5.0
+
+    @pytest.mark.parametrize("slot", range(6))
+    def test_from_scalars_rejects_non_finite(self, slot):
+        values = [1.0, 2.0, 1.0, 0.0, 0.0, 1.0]
+        values[slot] = np.inf if slot % 2 else np.nan
+        with pytest.raises(FilterError):
+            KalmanState.from_scalars(0.0, *values)
+
+    def test_value_semantics(self):
+        s = KalmanFilter.initial_state(0.5, 1.0, 2.0, 0.25, 4.0)
+        twin = KalmanState.from_scalars(0.5, 1.0, 2.0, 0.25, 0.0, 0.0, 4.0)
+        assert s == twin and hash(s) == hash(twin)
+        assert copy.deepcopy(s) == s
+        assert s != KalmanState.from_scalars(0.5, 1.0, 2.0, 0.25, 0.0, 0.0, 4.5)
 
     def test_as_vehicle_state(self):
         s = KalmanState(time=0.0, x_hat=[[1.0], [2.0]], covariance=np.eye(2))

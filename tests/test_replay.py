@@ -8,7 +8,7 @@ from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits, VehicleModel
 from repro.errors import FilterError, ReplayError
 from repro.filtering.kalman import KalmanFilter
-from repro.filtering.replay import ReplayKalmanFilter
+from repro.filtering.replay import ReplayKalmanFilter, _key
 from repro.sensing.noise import NoiseBounds, UniformNoise
 from repro.sensing.sensor import SensorReading
 from repro.utils.rng import RngStream
@@ -191,3 +191,76 @@ class TestMessageReplay:
         rkf = ReplayKalmanFilter(KalmanFilter(DT, BOUNDS), history_horizon=0.5)
         self._drive(rkf, n=100)
         assert len(rkf._reading_times) <= 7  # 0.5 s of 0.1 s readings + slack
+
+
+class TestPruning:
+    """A short horizon over a long run: exactly which history survives.
+
+    Times are multiples of 1/8 s so every cutoff is exact: a reading or
+    checkpoint stamped exactly at ``now - horizon`` survives, anything
+    older is dropped, and ``checkpoint_at`` answers accordingly.
+    """
+
+    STEP = 0.125
+    HORIZON = 0.5
+
+    def _rkf(self) -> ReplayKalmanFilter:
+        return ReplayKalmanFilter(
+            KalmanFilter(self.STEP, BOUNDS), history_horizon=self.HORIZON
+        )
+
+    def _feed(self, rkf, first: int, last: int) -> None:
+        for i in range(first, last + 1):
+            t = i * self.STEP
+            rkf.on_sensor_reading(_reading(t, 50.0 - 12.0 * t, -12.0))
+
+    @staticmethod
+    def _message(stamp: float) -> Message:
+        return Message(
+            sender=1,
+            stamp=stamp,
+            state=VehicleState(position=50.0 - 12.0 * stamp, velocity=-12.0),
+        )
+
+    def _assert_history(self, rkf, times) -> None:
+        keys = [_key(t) for t in times]
+        assert [_key(t) for t in rkf._reading_times] == keys
+        assert sorted(rkf._readings) == keys
+        assert rkf._checkpoint_keys == keys
+        assert sorted(rkf._checkpoints) == keys
+
+    def test_long_run_keeps_exactly_the_horizon(self):
+        rkf = self._rkf()
+        self._feed(rkf, 0, 48)  # last reading at 6.0 s, cutoff 5.5 s
+        survivors = [5.5, 5.625, 5.75, 5.875, 6.0]
+        self._assert_history(rkf, survivors)
+        for i in range(49):
+            t = i * self.STEP
+            assert (rkf.checkpoint_at(t) is not None) == (t in survivors)
+        # The surviving checkpoints are the predictions of those readings.
+        assert rkf.checkpoint_at(6.0) is rkf.last_prediction
+
+    def test_replay_inside_the_horizon_keeps_the_same_history(self):
+        rkf = self._rkf()
+        self._feed(rkf, 0, 24)  # 3.0 s
+        before = {t: rkf.checkpoint_at(t) for t in (2.5, 2.625, 2.75, 2.875, 3.0)}
+        assert rkf.on_message(self._message(2.6875), 3.0) is not None
+        assert rkf.last_replay_depth == 3
+        self._assert_history(rkf, [2.5, 2.625, 2.75, 2.875, 3.0])
+        # Checkpoints after the stamp were re-stored; the rest untouched.
+        assert rkf.checkpoint_at(2.625) is before[2.625]
+        assert rkf.checkpoint_at(2.75) is not before[2.75]
+        self._feed(rkf, 25, 26)
+        self._assert_history(rkf, [2.75, 2.875, 3.0, 3.125, 3.25])
+
+    def test_checkpoint_inserted_by_replay_is_pruned_in_order(self):
+        rkf = self._rkf()
+        self._feed(rkf, 1, 3)  # the first reading has no checkpoint
+        assert rkf.checkpoint_at(0.125) is None
+        assert rkf.on_message(self._message(0.0625), 0.375) is not None
+        # The replay re-applied the first reading and stored its
+        # prediction: a key older than every existing one.
+        self._assert_history(rkf, [0.125, 0.25, 0.375])
+        self._feed(rkf, 4, 6)  # 0.75 s: cutoff 0.25 s
+        self._assert_history(rkf, [0.25, 0.375, 0.5, 0.625, 0.75])
+        assert rkf.checkpoint_at(0.125) is None
