@@ -13,7 +13,14 @@ traced and untraced outcome digests agree and every wrapped layer
 reports its metrics, so this catches a change under ``src/`` that
 renames, removes or bypasses a layer entry point the benchmark wraps
 (e.g. an estimator that stops calling ``ReachabilityAnalyzer``'s band
-functions).  The script only invokes the benchmark; it never edits it.
+functions).
+
+A wrapper that is bypassed rather than removed (say, a call that goes
+through an alias imported into another module instead of the wrapped
+module global) leaves the run correct but its metric at 0.  So the
+script also fails when a metric in ``NONZERO`` reads 0: every
+campaign-durable pass journals and snapshots its chunks.  The script
+only invokes the benchmark; it never edits it.
 
 Exits 0 on success, 1 on any failed run.
 """
@@ -25,6 +32,14 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("paper-tables", "campaign-durable")
+#: Per-layer metrics that must read above 0 on a workload's traced run.
+NONZERO = {
+    "campaign-durable": (
+        "campaign.snapshot.share",
+        "campaign.journal.share",
+        "campaign.journal.records",
+    ),
+}
 
 
 def run_workload(workload: str) -> bool:
@@ -51,6 +66,12 @@ def run_workload(workload: str) -> bool:
     except json.JSONDecodeError:
         result = {}
     correct = proc.returncode == 0 and result.get("correct") is True
+    metrics = result.get("metrics", {})
+    for name in NONZERO.get(workload, ()):
+        value = metrics.get(name, {}).get("value", 0.0)
+        if not value > 0.0:
+            correct = False
+            print(f"{workload}: {name} reads {value}; its wrapper was bypassed")
     if not correct:
         print(proc.stdout[-4000:])
         print(proc.stderr[-4000:], file=sys.stderr)

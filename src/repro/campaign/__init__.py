@@ -16,13 +16,17 @@ makes the batch layer durable:
   :class:`~repro.sim.parallel.ParallelBatchRunner`, journals progress,
   retries transient chunk failures with deterministic seeded backoff,
   drains cleanly on SIGINT/SIGTERM, and resumes a killed campaign to
-  aggregate results **bit-identical** to an uninterrupted run.
+  aggregate results **bit-identical** to an uninterrupted run.  Its
+  ``run``/``resume`` are the package's one start/recover lifecycle and
+  :func:`~repro.campaign.runner.chunk_executor` its one chunk executor.
 
 For certification sweeps too big for one process, the
 :mod:`repro.campaign.shard` subpackage distributes a campaign's chunk
 space across worker subprocesses with lease-based claims journaled in
 the same write-ahead journal — kill-anywhere workers *and* coordinator,
-byte-identical merged aggregates.
+byte-identical merged aggregates.  Its coordinator is a
+:class:`CampaignRunner` that replaces only the chunk loop, and its
+workers run chunks through the same executor.
 
 The ``repro-campaign`` console script (``run`` / ``resume`` / ``status``
 / ``verify`` / ``shard-run`` / ``shard-resume`` / ``shard-status``)

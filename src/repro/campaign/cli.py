@@ -310,22 +310,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
+        if args.command in ("run", "resume", "shard-run", "shard-resume"):
             _validate_exec_options(args)
-            manifest = CampaignManifest.load(args.manifest)
-            return _report_exit(_runner(args, manifest).run())
-        if args.command == "resume":
-            _validate_exec_options(args)
-            manifest = CampaignManifest.load(f"{args.dir}/{MANIFEST_FILE}")
-            return _report_exit(_runner(args, manifest).resume())
-        if args.command == "shard-run":
-            _validate_exec_options(args)
-            manifest = CampaignManifest.load(args.manifest)
-            return _report_exit(_coordinator(args, manifest).run())
-        if args.command == "shard-resume":
-            _validate_exec_options(args)
-            manifest = CampaignManifest.load(f"{args.dir}/{MANIFEST_FILE}")
-            return _report_exit(_coordinator(args, manifest).resume())
+            starting = args.command.endswith("run")
+            manifest = CampaignManifest.load(
+                args.manifest if starting else f"{args.dir}/{MANIFEST_FILE}"
+            )
+            build = _coordinator if args.command.startswith("shard") else _runner
+            driver = build(args, manifest)
+            return _report_exit(driver.run() if starting else driver.resume())
         if args.command == "status":
             summary = campaign_status(args.dir)
             if args.json:

@@ -31,10 +31,12 @@ the journal recovery path is for.
 from __future__ import annotations
 
 import signal
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.campaign.backoff import BackoffPolicy
 from repro.campaign.builders import build_workload
@@ -67,11 +69,13 @@ __all__ = [
     "CampaignReport",
     "CampaignRunner",
     "campaign_status",
+    "chunk_executor",
     "chunk_path",
     "finalise_campaign",
     "load_chunk_snapshot",
     "persist_chunk_snapshot",
     "replay_progress",
+    "scan_campaign",
     "verify_campaign",
     "MANIFEST_FILE",
     "JOURNAL_FILE",
@@ -97,10 +101,6 @@ ChunkExecutor = Callable[[List[int], int, int], ChunkResult]
 def chunk_path(directory: Path, chunk: int) -> Path:
     """The atomic snapshot file of chunk ``chunk`` under ``directory``."""
     return directory / _CHUNK_DIR / f"chunk-{chunk:05d}.json"
-
-
-# Backwards-compatible private alias (older call sites / tests).
-_chunk_path = chunk_path
 
 
 def persist_chunk_snapshot(
@@ -323,8 +323,13 @@ class CampaignRunner:
         self._stop_requested = True
 
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Lifecycle (shared with ShardCoordinator, which overrides _execute)
     # ------------------------------------------------------------------
+    #: The CLI commands named in refusals: how to continue a started
+    #: campaign of this driver, and how to start one.
+    _RESUME_COMMAND = "resume"
+    _RUN_COMMAND = "run"
+
     def run(self) -> CampaignReport:
         """Start the campaign from scratch.
 
@@ -338,7 +343,8 @@ class CampaignRunner:
             if records:
                 raise CampaignError(
                     f"campaign at {self._directory} was already started "
-                    f"({len(records)} journal records); use resume"
+                    f"({len(records)} journal records); use "
+                    f"{self._RESUME_COMMAND}"
                 )
         manifest_path = self._directory / MANIFEST_FILE
         if manifest_path.exists():
@@ -351,19 +357,7 @@ class CampaignRunner:
                 )
         self._directory.mkdir(parents=True, exist_ok=True)
         self._manifest.save(manifest_path)
-        state = CampaignProgress(fingerprint=self._fingerprint)
-        with JournalWriter(
-            journal_path, next_seq=0, observer=self._obs
-        ) as journal:
-            journal.append(
-                "campaign_started",
-                fingerprint=self._fingerprint,
-                name=self._manifest.name,
-                n_sims=self._manifest.n_sims,
-                n_chunks=self._manifest.n_chunks,
-            )
-            state.next_seq = journal.next_seq
-            return self._execute(state, journal)
+        return self._open(CampaignProgress(fingerprint=self._fingerprint), [])
 
     def resume(self) -> CampaignReport:
         """Continue a campaign after a crash, kill, or drain.
@@ -388,39 +382,87 @@ class CampaignRunner:
         journal_path = self._directory / JOURNAL_FILE
         if not journal_path.exists():
             raise CampaignError(
-                f"no journal at {journal_path}; use run to start a "
-                "campaign"
+                f"no journal at {journal_path}; use {self._RUN_COMMAND} to "
+                "start a campaign"
             )
         records = recover_journal(journal_path)
-        state = replay_progress(records, self._fingerprint)
+        progress = replay_progress(records, self._fingerprint)
         if not manifest_path.exists():
             # The crash hit between mkdir and manifest.save; re-write it.
-            self._directory.mkdir(parents=True, exist_ok=True)
             self._manifest.save(manifest_path)
+        return self._open(progress, records)
+
+    def _open(
+        self, progress: CampaignProgress, records: List[dict]
+    ) -> CampaignReport:
+        """Open the journal, run the chunk loop, and end the campaign.
+
+        An empty journal is headed with ``campaign_started``.  The loop
+        (:meth:`_execute`, the one part each driver supplies) runs with
+        SIGINT/SIGTERM routed to :meth:`request_stop`; the campaign is
+        finalised once every chunk is journaled, and journaled
+        ``interrupted`` when a drain stopped the loop first.
+        """
+        manifest = self._manifest
         with JournalWriter(
-            journal_path, next_seq=state.next_seq, observer=self._obs
+            self._directory / JOURNAL_FILE,
+            next_seq=progress.next_seq,
+            observer=self._obs,
         ) as journal:
             if not records:
                 journal.append(
                     "campaign_started",
                     fingerprint=self._fingerprint,
-                    name=self._manifest.name,
-                    n_sims=self._manifest.n_sims,
-                    n_chunks=self._manifest.n_chunks,
+                    name=manifest.name,
+                    n_sims=manifest.n_sims,
+                    n_chunks=manifest.n_chunks,
                 )
-                state.next_seq = journal.next_seq
-            return self._execute(state, journal)
+            if progress.finished:
+                return self._report_from_aggregate(progress)
+            with _drain_on_signals(self.request_stop):
+                chunks_run = self._execute(progress, journal, records)
+            if len(progress.completed) == manifest.n_chunks:
+                return finalise_campaign(
+                    manifest, self._directory, progress, chunks_run, journal
+                )
+            journal.append(
+                "interrupted",
+                fingerprint=self._fingerprint,
+                completed_chunks=len(progress.completed),
+            )
+            return CampaignReport(
+                status="interrupted",
+                fingerprint=self._fingerprint,
+                n_chunks=manifest.n_chunks,
+                completed_chunks=len(progress.completed),
+                chunks_run=chunks_run,
+            )
+
+    def _report_from_aggregate(self, progress: CampaignProgress) -> CampaignReport:
+        """The report of a finished campaign, read from ``aggregate.json``."""
+        document = load_json(self._directory / AGGREGATE_FILE)
+        if not isinstance(document, dict):
+            raise SerializationError("aggregate document is not an object")
+        return CampaignReport(
+            status="completed",
+            fingerprint=self._fingerprint,
+            n_chunks=self._manifest.n_chunks,
+            completed_chunks=len(progress.completed),
+            chunks_run=0,
+            n_failed=int(document.get("n_failed", 0)),
+            aggregate=document.get("aggregate"),
+            results_digest=document.get("results_digest"),
+        )
 
     # ------------------------------------------------------------------
     # The chunk loop
     # ------------------------------------------------------------------
     def _execute(
-        self, state: CampaignProgress, journal: JournalWriter
-    ) -> CampaignReport:
+        self, state: CampaignProgress, journal: JournalWriter, records: List[dict]
+    ) -> int:
+        """Run and journal the missing chunks until done or drained;
+        returns how many chunks this call ran."""
         manifest = self._manifest
-        if state.finished:
-            return self._report_from_aggregate(state, chunks_run=0)
-        previous_handlers = self._install_signal_handlers()
         chunks_run = 0
         # Telemetry sidecar: per-run operational frames (see
         # repro.obs.recorder).  Shares the observer's registry when one
@@ -441,18 +483,7 @@ class CampaignRunner:
                 if chunk in state.completed:
                     continue
                 if self._stop_requested:
-                    journal.append(
-                        "interrupted",
-                        fingerprint=self._fingerprint,
-                        completed_chunks=len(state.completed),
-                    )
-                    return CampaignReport(
-                        status="interrupted",
-                        fingerprint=self._fingerprint,
-                        n_chunks=manifest.n_chunks,
-                        completed_chunks=len(state.completed),
-                        chunks_run=chunks_run,
-                    )
+                    break
                 # Chunk wall time is journaled unconditionally (readers
                 # ignore unknown fields; journal bytes are never part of
                 # the bit-identity contract) so `repro-campaign status`
@@ -468,7 +499,9 @@ class CampaignRunner:
                 if self._obs.enabled:
                     self._obs.end(handle, n_results=len(chunk_result.results))
                     self._obs.observe("campaign.chunk_seconds", elapsed)
-                digest = self._persist_chunk(chunk, chunk_result)
+                digest = persist_chunk_snapshot(
+                    self._directory, self._fingerprint, chunk, chunk_result
+                )
                 journal.append(
                     "chunk_completed",
                     fingerprint=self._fingerprint,
@@ -489,11 +522,9 @@ class CampaignRunner:
                 )
                 self._recorder.tick()
         finally:
-            self._restore_signal_handlers(previous_handlers)
             # Final frame regardless of how the loop ended.
             self._recorder.tick(force=True)
-        report = self._finalise(state, chunks_run, journal)
-        return report
+        return chunks_run
 
     def _run_chunk_with_retries(
         self, chunk: int, journal: JournalWriter
@@ -534,100 +565,80 @@ class CampaignRunner:
         return last
 
     def _chunk_executor(self) -> ChunkExecutor:
-        if self._executor is not None:
-            return self._executor
-        scenario, comm, config, planner, kind = build_workload(self._manifest)
-        runner = ParallelBatchRunner(
-            scenario,
-            comm,
-            config,
-            estimator_kind=kind,
-            n_workers=self._n_workers,
-            max_retries=self._max_retries,
-            timeout_per_sim=self._timeout_per_sim,
-            observer=(self._obs if self._obs.enabled else None),
+        if self._executor is None:
+            self._executor = chunk_executor(
+                self._manifest,
+                n_workers=self._n_workers,
+                max_retries=self._max_retries,
+                timeout_per_sim=self._timeout_per_sim,
+                observer=(self._obs if self._obs.enabled else None),
+            )
+        return self._executor
+
+
+def chunk_executor(
+    manifest: CampaignManifest,
+    n_workers: int = 1,
+    max_retries: int = 2,
+    timeout_per_sim: Optional[float] = None,
+    observer=None,
+) -> Callable[..., ChunkResult]:
+    """Build ``manifest``'s workload once; return its chunk executor.
+
+    ``execute(indices, n_sims, seed, progress=None) -> ChunkResult``
+    runs through
+    :meth:`~repro.sim.parallel.ParallelBatchRunner.run_indices_detailed`;
+    :class:`CampaignRunner` and the shard worker both run chunks so.
+    """
+    scenario, comm, config, planner, kind = build_workload(manifest)
+    runner = ParallelBatchRunner(
+        scenario,
+        comm,
+        config,
+        estimator_kind=kind,
+        n_workers=n_workers,
+        max_retries=max_retries,
+        timeout_per_sim=timeout_per_sim,
+        observer=observer,
+    )
+
+    def execute(
+        indices: List[int],
+        n_sims: int,
+        seed: int,
+        progress: Optional[Callable[[int], None]] = None,
+    ) -> ChunkResult:
+        return runner.run_indices_detailed(
+            planner, indices, n_sims, seed, progress=progress
         )
 
-        def execute(indices: List[int], n_sims: int, seed: int) -> ChunkResult:
-            return runner.run_indices_detailed(planner, indices, n_sims, seed)
-
-        self._executor = execute
-        return execute
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def _persist_chunk(self, chunk: int, result: ChunkResult) -> str:
-        return persist_chunk_snapshot(
-            self._directory, self._fingerprint, chunk, result
-        )
-
-    def _load_chunk(self, chunk: int, expected_digest: str) -> dict:
-        return load_chunk_snapshot(self._directory, chunk, expected_digest)
-
-    def _finalise(
-        self, state: CampaignProgress, chunks_run: int, journal: JournalWriter
-    ) -> CampaignReport:
-        return finalise_campaign(
-            self._manifest, self._directory, state, chunks_run, journal
-        )
-
-    def _report_from_aggregate(
-        self, state: CampaignProgress, chunks_run: int
-    ) -> CampaignReport:
-        document = load_json(self._directory / AGGREGATE_FILE)
-        if not isinstance(document, dict):
-            raise SerializationError("aggregate document is not an object")
-        return CampaignReport(
-            status="completed",
-            fingerprint=self._fingerprint,
-            n_chunks=self._manifest.n_chunks,
-            completed_chunks=len(state.completed),
-            chunks_run=chunks_run,
-            n_failed=int(document.get("n_failed", 0)),
-            aggregate=document.get("aggregate"),
-            results_digest=document.get("results_digest"),
-        )
-
-    # ------------------------------------------------------------------
-    # Signals
-    # ------------------------------------------------------------------
-    def _install_signal_handlers(self) -> Optional[dict]:
-        return install_drain_handlers(self.request_stop)
-
-    @staticmethod
-    def _restore_signal_handlers(previous: Optional[dict]) -> None:
-        restore_drain_handlers(previous)
+    return execute
 
 
 # ----------------------------------------------------------------------
-# Shared drain-on-signal plumbing (runner and shard coordinator)
+# Drain on signal (every driver's chunk loop runs inside it)
 # ----------------------------------------------------------------------
-def install_drain_handlers(request_stop: Callable[[], None]) -> Optional[dict]:
-    """Route SIGINT/SIGTERM to ``request_stop``; ``None`` off the main thread."""
+@contextmanager
+def _drain_on_signals(request_stop: Callable[[], None]) -> Iterator[None]:
+    """Route SIGINT/SIGTERM to ``request_stop`` for the block.
+
+    Only the main thread can install handlers; elsewhere (e.g. a
+    pytest-xdist worker) graceful drain is reachable via
+    ``request_stop()`` alone.
+    """
 
     def handler(signum, frame):  # pragma: no cover - exercised via CLI
         request_stop()
 
     previous = {}
-    try:
+    if threading.current_thread() is threading.main_thread():
         for signum in (signal.SIGINT, signal.SIGTERM):
             previous[signum] = signal.signal(signum, handler)
-    except ValueError:
-        # Not the main thread (e.g. pytest-xdist worker): graceful
-        # drain is only reachable via request_stop() there.
+    try:
+        yield
+    finally:
         for signum, old in previous.items():
             signal.signal(signum, old)
-        return None
-    return previous
-
-
-def restore_drain_handlers(previous: Optional[dict]) -> None:
-    """Undo :func:`install_drain_handlers`."""
-    if previous is None:
-        return
-    for signum, old in previous.items():
-        signal.signal(signum, old)
 
 
 # ----------------------------------------------------------------------
@@ -763,6 +774,24 @@ def _operational_summary(records: List[dict]) -> dict:
     }
 
 
+def scan_campaign(
+    directory: Union[str, Path]
+) -> Tuple[CampaignManifest, List[dict], bool]:
+    """The manifest, journal records and torn-tail flag of ``directory``.
+
+    The read-only journal scan behind :func:`campaign_status` and
+    :func:`~repro.campaign.shard.shard_status`: a missing journal reads
+    as no records, a torn tail is reported, not repaired.
+    """
+    directory = Path(directory)
+    manifest = CampaignManifest.load(directory / MANIFEST_FILE)
+    journal_path = directory / JOURNAL_FILE
+    if not journal_path.exists():
+        return manifest, [], False
+    records, torn = read_journal(journal_path)
+    return manifest, records, torn
+
+
 def campaign_status(directory: Union[str, Path]) -> dict:
     """Progress summary of a campaign directory (read-only).
 
@@ -771,13 +800,7 @@ def campaign_status(directory: Union[str, Path]) -> dict:
     journal's operational fields: per-chunk retry counts and an elapsed
     wall-time summary over completed chunks.
     """
-    directory = Path(directory)
-    manifest = CampaignManifest.load(directory / MANIFEST_FILE)
-    journal_path = directory / JOURNAL_FILE
-    records: List[dict] = []
-    torn = False
-    if journal_path.exists():
-        records, torn = read_journal(journal_path)
+    manifest, records, torn = scan_campaign(directory)
     completed = {
         int(r["chunk"]) for r in records if r.get("type") == "chunk_completed"
     }
@@ -854,7 +877,7 @@ def verify_campaign(directory: Union[str, Path]) -> dict:
             finished_digest = str(record.get("results_digest"))
     per_index: List[Optional[dict]] = [None] * manifest.n_sims
     for chunk, digest in sorted(completed.items()):
-        path = _chunk_path(directory, chunk)
+        path = chunk_path(directory, chunk)
         try:
             snapshot = load_json(path)
         except SerializationError as exc:

@@ -50,18 +50,12 @@ from typing import Callable, Dict, List, Optional, Union
 
 import repro
 from repro.campaign.backoff import BackoffPolicy
-from repro.campaign.journal import JournalWriter, read_journal, recover_journal
+from repro.campaign.journal import JournalWriter
 from repro.campaign.manifest import CampaignManifest
 from repro.campaign.runner import (
-    JOURNAL_FILE,
-    MANIFEST_FILE,
     CampaignProgress,
-    CampaignReport,
     CampaignRunner,
-    finalise_campaign,
-    install_drain_handlers,
-    replay_progress,
-    restore_drain_handlers,
+    scan_campaign,
 )
 from repro.campaign.shard.leases import Lease, LeaseTable
 from repro.campaign.shard.protocol import (
@@ -75,14 +69,9 @@ from repro.campaign.shard.protocol import (
     decode_line,
     encode_message,
 )
-from repro.errors import (
-    CampaignError,
-    FingerprintMismatchError,
-    JournalCorruptionError,
-)
+from repro.errors import CampaignError, JournalCorruptionError
 from repro.obs.fleet import merge_delta
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.observer import resolve_observer
 from repro.obs.recorder import TELEMETRY_FILE, FlightRecorder, read_telemetry
 from repro.obs.trace import perf_now
 
@@ -119,19 +108,21 @@ class _LoopState:
     redispatch_pending: Dict[int, float] = field(default_factory=dict)
 
 
-class ShardCoordinator:
+class ShardCoordinator(CampaignRunner):
     """Runs a campaign manifest across ``n_workers`` worker processes.
 
     Parameters
     ----------
     manifest, directory:
-        As for :class:`~repro.campaign.runner.CampaignRunner`; the
-        directory layout (manifest, journal, chunks, aggregate) is
-        identical, and the two are resume-compatible in both directions.
+        As for :class:`~repro.campaign.runner.CampaignRunner`, whose
+        start/resume lifecycle the coordinator inherits (it replaces
+        only the chunk loop); the directory layout (manifest, journal,
+        chunks, aggregate) is identical, and the two are
+        resume-compatible in both directions.
     n_workers:
-        Worker subprocesses.  ``1`` degrades gracefully to the
-        single-process :class:`~repro.campaign.runner.CampaignRunner` —
-        no subprocesses, no protocol, same artifacts.
+        Worker subprocesses.  ``1`` degrades gracefully to the inherited
+        in-process chunk loop — no subprocesses, no protocol, same
+        artifacts.
     lease_ttl:
         Seconds of heartbeat silence after which a lease expires and
         its chunk is re-dispatched.
@@ -155,6 +146,9 @@ class ShardCoordinator:
         per event-loop iteration; the chaos suite uses it to SIGKILL
         workers at precise protocol states.
     """
+
+    _RESUME_COMMAND = "shard-resume"
+    _RUN_COMMAND = "shard-run"
 
     def __init__(
         self,
@@ -187,19 +181,19 @@ class ShardCoordinator:
             raise CampaignError(
                 f"timeout_per_sim must be > 0, got {timeout_per_sim}"
             )
-        self._manifest = manifest
-        self._directory = Path(directory)
-        self._fingerprint = manifest.fingerprint
-        self._n_workers = n_workers
+        super().__init__(
+            manifest,
+            directory,
+            n_workers=n_workers,
+            max_retries=max_retries,
+            timeout_per_sim=timeout_per_sim,
+            backoff=backoff,
+            observer=observer,
+        )
         self._lease_ttl = lease_ttl
         self._heartbeat_interval = heartbeat_interval
         self._straggler_factor = straggler_factor
-        self._backoff = backoff if backoff is not None else BackoffPolicy()
-        self._max_retries = max_retries
-        self._timeout_per_sim = timeout_per_sim
-        self._obs = resolve_observer(observer)
         self._tick_hook = tick_hook
-        self._stop_requested = False
         self._workers: Dict[str, _WorkerHandle] = {}
         # The fleet registry is always on (independent of the optional
         # observer): workers stream metric deltas on their heartbeats
@@ -208,21 +202,10 @@ class ShardCoordinator:
         # the telemetry.jsonl sidecar — a per-run operational artifact,
         # never part of the aggregate's bit-identity contract.
         self._fleet = MetricsRegistry()
-        self._recorder: Optional[FlightRecorder] = None
 
     # ------------------------------------------------------------------
     # Introspection (tests and the tick hook)
     # ------------------------------------------------------------------
-    @property
-    def directory(self) -> Path:
-        """The campaign home directory."""
-        return self._directory
-
-    @property
-    def fingerprint(self) -> str:
-        """The manifest's canonical content hash."""
-        return self._fingerprint
-
     def worker_pids(self) -> Dict[str, int]:
         """Live worker ids to OS pids (chaos hooks kill through this)."""
         return {
@@ -231,128 +214,26 @@ class ShardCoordinator:
             if handle.alive
         }
 
-    def request_stop(self) -> None:
-        """Drain: stop dispatching, let in-flight chunks finish, journal
-        an ``interrupted`` marker, and return an interrupted report."""
-        self._stop_requested = True
-
     @property
     def fleet_registry(self) -> MetricsRegistry:
         """The always-on fleet registry (merged worker deltas)."""
         return self._fleet
 
-    @property
-    def telemetry_recorder(self) -> Optional[FlightRecorder]:
-        """The flight recorder of the current run (``None`` when idle)."""
-        return self._recorder
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def run(self) -> CampaignReport:
-        """Start the sharded campaign from scratch (see ``CampaignRunner.run``)."""
-        if self._n_workers == 1:
-            return self._degraded().run()
-        journal_path = self._directory / JOURNAL_FILE
-        if journal_path.exists():
-            records, _ = read_journal(journal_path)
-            if records:
-                raise CampaignError(
-                    f"campaign at {self._directory} was already started "
-                    f"({len(records)} journal records); use shard-resume"
-                )
-        manifest_path = self._directory / MANIFEST_FILE
-        if manifest_path.exists():
-            existing = CampaignManifest.load(manifest_path)
-            if existing.fingerprint != self._fingerprint:
-                raise FingerprintMismatchError(
-                    f"directory {self._directory} holds manifest "
-                    f"{existing.fingerprint[:12]}..., refusing to start "
-                    f"{self._fingerprint[:12]}... over it"
-                )
-        self._directory.mkdir(parents=True, exist_ok=True)
-        self._manifest.save(manifest_path)
-        progress = CampaignProgress(fingerprint=self._fingerprint)
-        with JournalWriter(
-            journal_path, next_seq=0, observer=self._obs
-        ) as journal:
-            journal.append(
-                "campaign_started",
-                fingerprint=self._fingerprint,
-                name=self._manifest.name,
-                n_sims=self._manifest.n_sims,
-                n_chunks=self._manifest.n_chunks,
-            )
-            progress.next_seq = journal.next_seq
-            return self._execute(progress, journal, epoch=1)
-
-    def resume(self) -> CampaignReport:
-        """Continue after any crash or drain — of workers or coordinator.
-
-        Pure journal replay: completed chunks are skipped, a fresh
-        worker fleet is spawned under a new ``coordinator_started``
-        epoch, and everything else re-runs with the manifest's seeds.
-        """
-        if self._n_workers == 1:
-            return self._degraded().resume()
-        manifest_path = self._directory / MANIFEST_FILE
-        if manifest_path.exists():
-            on_disk = CampaignManifest.load(manifest_path)
-            if on_disk.fingerprint != self._fingerprint:
-                raise FingerprintMismatchError(
-                    f"manifest at {manifest_path} has fingerprint "
-                    f"{on_disk.fingerprint[:12]}... but this coordinator "
-                    f"was built for {self._fingerprint[:12]}...; start a "
-                    "new campaign directory instead"
-                )
-        journal_path = self._directory / JOURNAL_FILE
-        if not journal_path.exists():
-            raise CampaignError(
-                f"no journal at {journal_path}; use shard-run to start"
-            )
-        records = recover_journal(journal_path)
-        progress = replay_progress(records, self._fingerprint)
-        epoch = 1 + sum(
-            1 for r in records if r.get("type") == "coordinator_started"
-        )
-        if not manifest_path.exists():
-            self._directory.mkdir(parents=True, exist_ok=True)
-            self._manifest.save(manifest_path)
-        with JournalWriter(
-            journal_path, next_seq=progress.next_seq, observer=self._obs
-        ) as journal:
-            if not records:
-                journal.append(
-                    "campaign_started",
-                    fingerprint=self._fingerprint,
-                    name=self._manifest.name,
-                    n_sims=self._manifest.n_sims,
-                    n_chunks=self._manifest.n_chunks,
-                )
-                progress.next_seq = journal.next_seq
-            return self._execute(progress, journal, epoch=epoch)
-
-    def _degraded(self) -> CampaignRunner:
-        """The N=1 degradation: same knobs, no subprocesses."""
-        return CampaignRunner(
-            self._manifest,
-            self._directory,
-            n_workers=1,
-            max_retries=self._max_retries,
-            timeout_per_sim=self._timeout_per_sim,
-            backoff=self._backoff,
-            observer=(self._obs if self._obs.enabled else None),
-        )
-
     # ------------------------------------------------------------------
     # The event loop
     # ------------------------------------------------------------------
     def _execute(
-        self, progress: CampaignProgress, journal: JournalWriter, epoch: int
-    ) -> CampaignReport:
+        self,
+        progress: CampaignProgress,
+        journal: JournalWriter,
+        records: List[dict],
+    ) -> int:
+        if self._n_workers == 1:
+            return super()._execute(progress, journal, records)
         manifest = self._manifest
-        if progress.finished:
-            return self._report_from_progress(progress)
+        epoch = 1 + sum(
+            1 for r in records if r.get("type") == "coordinator_started"
+        )
         pending = [
             chunk
             for chunk in range(manifest.n_chunks)
@@ -368,9 +249,7 @@ class ShardCoordinator:
         if not pending:
             # Every chunk was journaled before the previous coordinator
             # died; only finalisation is left — no workers needed.
-            return finalise_campaign(
-                manifest, self._directory, progress, 0, journal
-            )
+            return 0
         worker_ids = [f"w{i}" for i in range(self._n_workers)]
         table = LeaseTable(
             pending,
@@ -382,7 +261,6 @@ class ShardCoordinator:
         )
         state = _LoopState(progress=progress, table=table, journal=journal)
         selector = selectors.DefaultSelector()
-        previous_handlers = install_drain_handlers(self.request_stop)
         self._workers = {}
         chunks_before = len(progress.completed)
         self._recorder = FlightRecorder(
@@ -394,30 +272,9 @@ class ShardCoordinator:
             for worker_id in worker_ids:
                 self._spawn_worker(worker_id, selector, journal)
             self._loop(state, selector)
-            if self._stop_requested and table.outstanding() > 0:
-                self._shutdown_workers(selector, journal)
-                journal.append(
-                    "interrupted",
-                    fingerprint=self._fingerprint,
-                    completed_chunks=len(progress.completed),
-                )
-                return CampaignReport(
-                    status="interrupted",
-                    fingerprint=self._fingerprint,
-                    n_chunks=manifest.n_chunks,
-                    completed_chunks=len(progress.completed),
-                    chunks_run=len(progress.completed) - chunks_before,
-                )
             self._shutdown_workers(selector, journal)
-            return finalise_campaign(
-                manifest,
-                self._directory,
-                progress,
-                len(progress.completed) - chunks_before,
-                journal,
-            )
+            return len(progress.completed) - chunks_before
         finally:
-            restore_drain_handlers(previous_handlers)
             self._kill_remaining_workers()
             selector.close()
             # Flush a final frame so shard-status sees the end state
@@ -803,12 +660,6 @@ class ShardCoordinator:
                     "shard.redispatch_seconds", max(now - issued_at, 0.0)
                 )
 
-    # ------------------------------------------------------------------
-    # Reports
-    # ------------------------------------------------------------------
-    def _report_from_progress(self, progress: CampaignProgress) -> CampaignReport:
-        return self._degraded()._report_from_aggregate(progress, chunks_run=0)
-
 
 # ----------------------------------------------------------------------
 # shard-status: read-only per-worker summary from the journal
@@ -821,12 +672,7 @@ def shard_status(directory: Union[str, Path]) -> dict:
     counts, completions, expirations, and duplicate completions.
     """
     directory = Path(directory)
-    manifest = CampaignManifest.load(directory / MANIFEST_FILE)
-    journal_path = directory / JOURNAL_FILE
-    records: List[dict] = []
-    torn = False
-    if journal_path.exists():
-        records, torn = read_journal(journal_path)
+    manifest, records, torn = scan_campaign(directory)
     workers: Dict[str, dict] = {}
 
     def worker_entry(worker: str) -> dict:

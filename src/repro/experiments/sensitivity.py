@@ -36,7 +36,7 @@ from repro.filtering.info_filter import InformationFilter
 from repro.scenarios.left_turn.passing_time import PassingWindowEstimator
 from repro.sim.engine import SimulationConfig, SimulationEngine
 from repro.sim.results import AggregateStats
-from repro.sim.runner import BatchRunner, EstimatorKind
+from repro.sim.runner import run_episodes
 
 __all__ = [
     "BUFFER_GRID",
@@ -98,20 +98,16 @@ def _run_ultimate(
             n_sigma=n_sigma,
         )
 
-    runner = BatchRunner(engine, EstimatorKind.FILTERED)
-    # Swap in the custom-n_sigma factory (BatchRunner builds the default
-    # one; the engine API takes the factory per run).
-    results = [
-        engine.run(planner, factory, stream)
-        for stream in _streams(config)
-    ]
+    # The custom-n_sigma factory goes straight to the episode loop
+    # (BatchRunner builds the default one).
+    results = []
+    for _, outcome in run_episodes(
+        engine, planner, factory, config.seed, range(config.n_sims)
+    ):
+        if isinstance(outcome, Exception):
+            raise outcome
+        results.append(outcome)
     return AggregateStats.from_results(results)
-
-
-def _streams(config: ExperimentConfig):
-    from repro.utils.rng import spawn_streams
-
-    return spawn_streams(config.seed, config.n_sims)
 
 
 def sweep_buffers(

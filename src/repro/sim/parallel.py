@@ -53,9 +53,13 @@ from repro.sim.results import (
     FailureRecord,
     SimulationResult,
 )
-from repro.sim.runner import EstimatorKind, make_estimator_factory
+from repro.sim.runner import (
+    EstimatorKind,
+    collect_episodes,
+    make_estimator_factory,
+    run_episodes,
+)
 from repro.scenarios.base import Scenario
-from repro.utils.rng import RngStream
 
 __all__ = ["ParallelBatchRunner", "run_chunk"]
 
@@ -70,58 +74,35 @@ def run_chunk(
     indices: Sequence[int],
     n_sims: int,
     chaos: Optional[WorkerChaosOnce] = None,
-    observer=None,
-    progress: Optional[Callable[[int], None]] = None,
 ) -> List[tuple]:
-    """Worker entry point: run the given simulation indices of a batch.
+    """Pool entry point: run the given simulation indices of a batch.
 
-    Re-derives the batch's seed sequence locally and runs only the
-    requested indices, returning one tagged tuple per index —
+    Runs the indices through :func:`~repro.sim.runner.run_episodes`
+    (which builds only their seed streams; ``n_sims`` names the batch
+    they belong to) and returns one tagged tuple per index —
     ``(index, "ok", result)`` for a completed simulation or
     ``(index, "error", error_type, message)`` when that simulation
     raised (siblings in the chunk still run).  Module-level (not a
-    closure) so it pickles under the default start method.
+    closure) so it pickles under the default start method.  Pool
+    workers run untraced: observers and callbacks never cross a process
+    boundary (a traced run is bit-identical anyway).
 
     ``chaos`` is the test/benchmark hook that makes the first claiming
     invocation misbehave (crash / garbage payload / hang); production
     batches leave it ``None``.
-
-    ``observer`` is only ever passed on the in-process fast path —
-    observers are not picklable and never cross a process boundary, so
-    pool workers always run untraced (which is bit-identical anyway).
-
-    ``progress`` is called with each index as it finishes (ok or error)
-    — the shard worker's liveness hook: heartbeats are emitted *during*
-    a chunk, not just between chunks.  In-process fast path only, like
-    ``observer``; callbacks never cross a process boundary.  Write-only
-    with respect to results: the callback sees only the index, so it
-    cannot perturb the bit-identity contract.
     """
     if chaos is not None and chaos.apply():
         return ["chaos: malformed payload"]  # type: ignore[list-item]
-    obs = resolve_observer(observer)
     engine = SimulationEngine(scenario, comm, config)
-    factory = make_estimator_factory(estimator_kind, engine, observer=observer)
-    streams = RngStream(seed).spawn(n_sims)
-    out: List[tuple] = []
-    for index in indices:
-        # Fault-tolerance boundary: one blown-up episode must not take
-        # its chunk siblings down with it; the error is shipped back as
-        # data and recorded by the parent.
-        try:
-            if obs.enabled:
-                with obs.span("batch.sim", index=index, seed=seed):
-                    result = engine.run(
-                        planner, factory, streams[index], observer=obs
-                    )
-            else:
-                result = engine.run(planner, factory, streams[index])
-            out.append((index, "ok", result))
-        except Exception as exc:  # safelint: disable=SFL003 - returned as tagged error entry
-            out.append((index, "error", type(exc).__name__, str(exc)))
-        if progress is not None:
-            progress(index)
-    return out
+    factory = make_estimator_factory(estimator_kind, engine)
+    return [
+        (index, "error", type(outcome).__name__, str(outcome))
+        if isinstance(outcome, Exception)
+        else (index, "ok", outcome)
+        for index, outcome in run_episodes(
+            engine, planner, factory, seed, indices
+        )
+    ]
 
 
 class ParallelBatchRunner:
@@ -247,14 +228,10 @@ class ParallelBatchRunner:
         its chunk was retried after a worker crash) or a
         :class:`~repro.sim.results.FailureRecord` at index ``k``.
         """
-        if n_sims <= 0:
-            raise SimulationError(f"n_sims must be > 0, got {n_sims}")
-        results, failures = self._run_indices(
-            planner, list(range(n_sims)), n_sims, seed
-        )
+        chunk = self.run_indices_detailed(planner, range(n_sims), n_sims, seed)
         return BatchResult(
-            results=[results.get(k) for k in range(n_sims)],
-            failures=failures,
+            results=[chunk.results.get(k) for k in range(n_sims)],
+            failures=chunk.failures,
         )
 
     def run_indices_detailed(
@@ -292,61 +269,27 @@ class ParallelBatchRunner:
                     f"index {index} outside batch of {n_sims}"
                 )
         idx.sort()
-        results, failures = self._run_indices(
-            planner, idx, n_sims, seed, progress=progress
-        )
-        return ChunkResult(indices=idx, results=results, failures=failures)
-
-    # ------------------------------------------------------------------
-    # Shared index-keyed pipeline
-    # ------------------------------------------------------------------
-    def _run_indices(
-        self,
-        planner: Planner,
-        indices: List[int],
-        n_sims: int,
-        seed: int,
-        progress: Optional[Callable[[int], None]] = None,
-    ) -> Tuple[Dict[int, SimulationResult], List[FailureRecord]]:
-        """Run ``indices`` of the batch; results keyed by global index."""
-        workers = min(self._n_workers, len(indices))
+        workers = min(self._n_workers, len(idx))
         if (
             workers == 1
             and self._chaos is None
             and self._timeout_per_sim is None
         ):
             # In-process fast path: no pool to crash, no watchdog to arm.
-            payload = run_chunk(
-                self._scenario,
-                self._comm,
-                self._config,
-                planner,
-                self._kind,
-                seed,
-                indices,
-                n_sims,
-                observer=(self._obs if self._obs.enabled else None),
-                progress=progress,
+            observer = self._obs if self._obs.enabled else None
+            engine = SimulationEngine(self._scenario, self._comm, self._config)
+            factory = make_estimator_factory(
+                self._kind, engine, observer=observer
             )
-            results: Dict[int, SimulationResult] = {}
-            failures: List[FailureRecord] = []
-            for entry in payload:
-                if entry[1] == "ok":
-                    results[entry[0]] = entry[2]
-                else:
-                    failures.append(
-                        FailureRecord(
-                            index=entry[0],
-                            stage="simulation",
-                            error_type=entry[2],
-                            message=entry[3],
-                            attempts=1,
-                        )
-                    )
-            return results, failures
+            results, failures = collect_episodes(
+                run_episodes(
+                    engine, planner, factory, seed, idx, observer, progress
+                )
+            )
+            return ChunkResult(idx, results, failures)
 
         results = {}
-        attempts: Dict[int, int] = {index: 0 for index in indices}
+        attempts: Dict[int, int] = {index: 0 for index in idx}
         #: index -> (stage, error_type, message) of its latest failure.
         last_error: Dict[int, Tuple[str, str, str]] = {}
         final: set = set()  # indices whose failure is not retryable
@@ -356,27 +299,16 @@ class ParallelBatchRunner:
         # as single-index chunks for maximum isolation.
         pending: List[List[int]] = [
             chunk
-            for chunk in (indices[i::workers] for i in range(workers))
+            for chunk in (idx[i::workers] for i in range(workers))
             if chunk
         ]
         round_no = 0
         while pending:
             retry: List[int] = []
-            if self._obs.enabled:
-                with self._obs.span(
-                    "batch.round", round=round_no, chunks=len(pending)
-                ):
-                    self._run_round(
-                        pending,
-                        planner,
-                        seed,
-                        n_sims,
-                        results,
-                        attempts,
-                        last_error,
-                        final,
-                    )
-            else:
+            # A no-op span on a disabled observer.
+            with self._obs.span(
+                "batch.round", round=round_no, chunks=len(pending)
+            ):
                 self._run_round(
                     pending,
                     planner,
@@ -410,7 +342,7 @@ class ParallelBatchRunner:
             )
             for index in sorted(final)
         ]
-        return results, failures
+        return ChunkResult(idx, results, failures)
 
     # ------------------------------------------------------------------
     # One retry round

@@ -6,24 +6,35 @@ component of simulation ``k`` from child ``k`` of the batch seed — so two
 batches with the same seed see the same oncoming-vehicle behaviour, the
 same message drops and the same sensor noise, and the paired "winning
 percentage" statistic is exact.
+
+Every batch executor runs its indices through :func:`run_episodes`,
+which builds child ``k`` directly as ``SeedSequence(seed,
+spawn_key=(k,))``: a chunk of ``m`` indices builds ``m`` streams,
+whatever the batch size.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.filtering.info_filter import (
     EstimateProvider,
     InformationFilter,
     RawEstimator,
 )
+from repro.obs.observer import resolve_observer
 from repro.planners.base import Planner
 from repro.sim.engine import SimulationEngine
 from repro.sim.results import BatchResult, FailureRecord, SimulationResult
-from repro.utils.rng import spawn_streams
+from repro.utils.rng import RngStream
 
-__all__ = ["EstimatorKind", "PlannerFactory", "make_estimator_factory", "BatchRunner"]
+__all__ = [
+    "EstimatorKind", "PlannerFactory", "make_estimator_factory",
+    "episode_stream", "run_episodes", "collect_episodes", "BatchRunner",
+]
 
 #: Builds (or returns) the planner used for a batch.
 PlannerFactory = Callable[[], Planner]
@@ -65,6 +76,75 @@ def make_estimator_factory(
     return factory
 
 
+def episode_stream(seed: int, index: int) -> RngStream:
+    """Child ``index`` of batch ``seed``, without building its siblings.
+
+    Draw for draw the stream ``RngStream(seed).spawn(n)[index]`` is,
+    for any ``n > index``.
+    """
+    return RngStream(np.random.SeedSequence(seed, spawn_key=(index,)))
+
+
+def run_episodes(
+    engine: SimulationEngine,
+    planner: Planner,
+    factory: Callable[[int], EstimateProvider],
+    seed: int,
+    indices: Iterable[int],
+    observer=None,
+    progress: Optional[Callable[[int], None]] = None,
+) -> Iterator[Tuple[int, Union[SimulationResult, Exception]]]:
+    """The one episode loop: yields ``(index, result or exception)``.
+
+    Episode ``k`` runs on :func:`episode_stream` ``(seed, k)``, so it
+    reproduces bit for bit whichever executor, chunk or retry runs it.
+    An exception inside an episode is yielded, not raised: the caller
+    decides whether it ends the batch.  An enabled ``observer`` gets a
+    ``batch.sim`` span per episode; ``progress(index)`` is called as
+    each episode finishes, failed or not.
+    """
+    obs = resolve_observer(observer)
+    for index in indices:
+        stream = episode_stream(seed, index)
+        # Fault-tolerance boundary: one blown-up episode must not take
+        # its siblings down with it; the error goes back as data.
+        outcome: Union[SimulationResult, Exception]
+        try:
+            if obs.enabled:
+                with obs.span("batch.sim", index=index, seed=seed):
+                    outcome = engine.run(planner, factory, stream, observer=obs)
+            else:
+                outcome = engine.run(planner, factory, stream)
+        except Exception as exc:  # safelint: disable=SFL003 - yielded to the caller as the episode's outcome
+            outcome = exc
+        if progress is not None:
+            progress(index)
+        yield index, outcome
+
+
+def collect_episodes(
+    outcomes: Iterable[Tuple[int, Union[SimulationResult, Exception]]]
+) -> Tuple[Dict[int, SimulationResult], List[FailureRecord]]:
+    """Fold :func:`run_episodes` into results by index plus failures.
+
+    A raised episode becomes a one-attempt ``"simulation"``
+    :class:`~repro.sim.results.FailureRecord`: under the seeding scheme
+    it would raise again, so it is never retried.
+    """
+    results: Dict[int, SimulationResult] = {}
+    failures: List[FailureRecord] = []
+    for index, outcome in outcomes:
+        if isinstance(outcome, Exception):
+            failures.append(
+                FailureRecord(
+                    index, "simulation", type(outcome).__name__, str(outcome)
+                )
+            )
+        else:
+            results[index] = outcome
+    return results, failures
+
+
 class BatchRunner:
     """Runs seeded batches of one engine + estimator configuration."""
 
@@ -88,9 +168,8 @@ class BatchRunner:
         return self._kind
 
     def run_one(self, planner: Planner, seed: int) -> SimulationResult:
-        """A single seeded episode."""
-        streams = spawn_streams(seed, 1)
-        return self._engine.run(planner, self._factory, streams[0])
+        """A single seeded episode (simulation 0 of batch ``seed``)."""
+        return self.run_batch(planner, 1, seed)[0]
 
     def run_batch(
         self,
@@ -112,14 +191,20 @@ class BatchRunner:
             any planner, enabling paired comparisons.
         progress:
             Optional ``(done, total)`` callback for long batches.
+
+        The first episode that raises ends the batch with its exception.
         """
         if n_sims <= 0:
             raise ValueError(f"n_sims must be > 0, got {n_sims}")
         results: List[SimulationResult] = []
-        for i, stream in enumerate(spawn_streams(seed, n_sims)):
-            results.append(self._engine.run(planner, self._factory, stream))
+        for index, outcome in run_episodes(
+            self._engine, planner, self._factory, seed, range(n_sims)
+        ):
+            if isinstance(outcome, Exception):
+                raise outcome
+            results.append(outcome)
             if progress is not None:
-                progress(i + 1, n_sims)
+                progress(index + 1, n_sims)
         return results
 
     def run_batch_detailed(
@@ -135,21 +220,9 @@ class BatchRunner:
         """
         if n_sims <= 0:
             raise ValueError(f"n_sims must be > 0, got {n_sims}")
-        results: List[Optional[SimulationResult]] = [None] * n_sims
-        failures: List[FailureRecord] = []
-        for i, stream in enumerate(spawn_streams(seed, n_sims)):
-            # Fault-tolerance boundary: any planner/engine blow-up is
-            # recorded (never swallowed) so sibling episodes survive.
-            try:
-                results[i] = self._engine.run(planner, self._factory, stream)
-            except Exception as exc:  # safelint: disable=SFL003 - recorded as FailureRecord
-                failures.append(
-                    FailureRecord(
-                        index=i,
-                        stage="simulation",
-                        error_type=type(exc).__name__,
-                        message=str(exc),
-                        attempts=1,
-                    )
-                )
-        return BatchResult(results=results, failures=failures)
+        results, failures = collect_episodes(
+            run_episodes(self._engine, planner, self._factory, seed, range(n_sims))
+        )
+        return BatchResult(
+            results=[results.get(k) for k in range(n_sims)], failures=failures
+        )
